@@ -19,9 +19,6 @@ let rec plan_of (a : Run.analysis) :
   | Run.Imp_kobj k -> Ok (Context.kobj ~k ~hk:(max 1 (k - 1)), None)
   | Run.Imp_ktype k -> Ok (Context.ktype ~k ~hk:(max 1 (k - 1)), None)
   | Run.Imp_kcall k -> Ok (Context.kcall ~k ~hk:(max 1 (k - 1)), None)
-  | Run.Imp_2obj -> Ok (Context.kobj ~k:2 ~hk:1, None)
-  | Run.Imp_2type -> Ok (Context.ktype ~k:2 ~hk:1, None)
-  | Run.Imp_2call -> Ok (Context.kcall ~k:2 ~hk:1, None)
   | Run.Imp_no_collapse inner ->
     (* provenance forces collapsing off anyway *)
     plan_of inner

@@ -7,7 +7,6 @@ module Ir = Csc_ir.Ir
 module Solver = Csc_pta.Solver
 module Par = Csc_pta.Par
 module Context = Csc_pta.Context
-module Inc = Csc_pta.Inc
 module Csc = Csc_core.Csc
 module Metrics = Csc_clients.Metrics
 module Dl = Csc_datalog.Analysis
@@ -25,9 +24,6 @@ type analysis =
   | Imp_kobj of int            (** k-object-sensitive, heap depth k-1 min 1 *)
   | Imp_ktype of int
   | Imp_kcall of int
-  | Imp_2obj
-  | Imp_2type
-  | Imp_2call
   | Imp_zipper
   | Imp_no_collapse of analysis
       (** same analysis with the solver's online cycle collapsing disabled;
@@ -45,9 +41,6 @@ let rec name = function
   | Imp_kobj k -> Printf.sprintf "%dobj" k
   | Imp_ktype k -> Printf.sprintf "%dtype" k
   | Imp_kcall k -> Printf.sprintf "%dcall" k
-  | Imp_2obj -> "2obj"
-  | Imp_2type -> "2type"
-  | Imp_2call -> "2call"
   | Imp_zipper -> "zipper-e"
   | Imp_no_collapse a -> name a ^ "+nocollapse"
   | Doop_ci -> "doop-ci"
@@ -56,14 +49,14 @@ let rec name = function
   | Doop_2type -> "doop-2type"
   | Doop_zipper -> "doop-zipper-e"
 
-let all_imperative = [ Imp_ci; Imp_csc; Imp_2obj; Imp_2type; Imp_zipper ]
+let all_imperative = [ Imp_ci; Imp_csc; Imp_kobj 2; Imp_ktype 2; Imp_zipper ]
 let all_datalog = [ Doop_ci; Doop_csc; Doop_2obj; Doop_2type; Doop_zipper ]
 
 let rec is_datalog = function
   | Doop_ci | Doop_csc | Doop_2obj | Doop_2type | Doop_zipper -> true
   | Imp_no_collapse a -> is_datalog a
   | Imp_ci | Imp_csc | Imp_csc_cfg _ | Imp_kobj _ | Imp_ktype _ | Imp_kcall _
-  | Imp_2obj | Imp_2type | Imp_2call | Imp_zipper ->
+  | Imp_zipper ->
     false
 
 (* --------------------------------------------------- analysis-name grammar *)
@@ -87,10 +80,6 @@ let k_suffixed s ~suffix =
     match int_of_string_opt (String.sub s 0 (ls - lx)) with
     | Some k when k >= 1 -> Some k
     | _ -> None
-
-let kobj_of = function 2 -> Imp_2obj | k -> Imp_kobj k
-let ktype_of = function 2 -> Imp_2type | k -> Imp_ktype k
-let kcall_of = function 2 -> Imp_2call | k -> Imp_kcall k
 
 let after_colon s prefix =
   let lp = String.length prefix in
@@ -142,22 +131,22 @@ let rec analysis_of_string (s : string) : (analysis, string) result =
       | Some rest -> analysis_of_string ("doop-" ^ rest)
       | None -> (
         match after_colon s "kobj:" with
-        | Some rest -> k_arg rest kobj_of
+        | Some rest -> k_arg rest (fun k -> Imp_kobj k)
         | None -> (
           match after_colon s "ktype:" with
-          | Some rest -> k_arg rest ktype_of
+          | Some rest -> k_arg rest (fun k -> Imp_ktype k)
           | None -> (
             match after_colon s "kcall:" with
-            | Some rest -> k_arg rest kcall_of
+            | Some rest -> k_arg rest (fun k -> Imp_kcall k)
             | None -> (
               match k_suffixed s ~suffix:"obj" with
-              | Some k -> Ok (kobj_of k)
+              | Some k -> Ok (Imp_kobj k)
               | None -> (
                 match k_suffixed s ~suffix:"type" with
-                | Some k -> Ok (ktype_of k)
+                | Some k -> Ok (Imp_ktype k)
                 | None -> (
                   match k_suffixed s ~suffix:"call" with
-                  | Some k -> Ok (kcall_of k)
+                  | Some k -> Ok (Imp_kcall k)
                   | None ->
                     Error
                       (Printf.sprintf "unknown analysis %S; %s" s grammar_help)))))))))
@@ -247,25 +236,11 @@ let spec analysis =
    session result cache must not fragment on them *)
 let spec_key s = { s with sp_progress_s = None }
 
-(** Retained engine state of a completed run, for {!update}: the program,
-    the (finished) solver and, for CSC analyses, the plugin handle. *)
-type state = {
-  st_prog : Ir.program;
-  st_solver : Solver.t;
-  st_csc : Csc.t option;
-}
-
 (** Run one analysis under an optional time budget (seconds). Timeouts are
     reported in the outcome, not raised — like the paper's ">2h" cells.
     [sp_validate] runs {!Csc_ir.Validate.check_exn} first so malformed IR
-    fails fast instead of silently corrupting analysis results.
-
-    [preseed] is applied to the created imperative solver after plugin
-    installation and before solving (the incremental engine's fact
-    transplant); [keep] receives the retained {!state} when the run
-    completes without timeout. *)
-let rec run_spec_inner ?preseed ?(keep : state option ref option) (s : spec)
-    (p : Ir.program) : outcome =
+    fails fast instead of silently corrupting analysis results. *)
+let rec run_spec (s : spec) (p : Ir.program) : outcome =
   let {
     sp_analysis = analysis;
     sp_budget_s = budget_s;
@@ -323,7 +298,6 @@ let rec run_spec_inner ?preseed ?(keep : state option ref option) (s : spec)
   let elapsed () = Timer.now () -. t0 in
   (* built via create/run (not [Solver.analyze]) to keep the solver handle:
      the timeout path still snapshots the aborted engine state *)
-  let csc_handle : Csc.t option ref = ref None in
   let solve ?plugin_of sel =
     let t = Solver.create ~budget ~sel ~collapse p in
     if explain then
@@ -334,9 +308,6 @@ let rec run_spec_inner ?preseed ?(keep : state option ref option) (s : spec)
     if profile then Solver.enable_attr t;
     (match progress_s with Some s -> Solver.set_progress t s | None -> ());
     (match plugin_of with Some f -> Solver.set_plugin t (f t) | None -> ());
-    (* incremental preloads enter through the ordinary worklist, after the
-       plugin is installed, so every watch and plugin hook replays on them *)
-    (match preseed with Some f -> f t | None -> ());
     match Par.run ~jobs t with
     | () -> Ok t
     | exception Solver.Timeout -> Error (Solver.snapshot t)
@@ -344,9 +315,6 @@ let rec run_spec_inner ?preseed ?(keep : state option ref option) (s : spec)
   let imperative ?plugin_of sel finish =
     match solve ?plugin_of sel with
     | Ok t ->
-      (match keep with
-      | Some r -> r := Some { st_prog = p; st_solver = t; st_csc = !csc_handle }
-      | None -> ());
       let o = finish (Solver.result t) in
       if profile then { o with o_profile = Solver.profile ~top:profile_top t }
       else o
@@ -367,9 +335,7 @@ let rec run_spec_inner ?preseed ?(keep : state option ref option) (s : spec)
   match analysis with
   | Imp_no_collapse inner ->
     let o =
-      run_spec_inner ?preseed ?keep
-        { s with sp_analysis = inner; sp_collapse = false }
-        p
+      run_spec { s with sp_analysis = inner; sp_collapse = false } p
     in
     { o with o_analysis = name analysis }
   | Imp_ci ->
@@ -378,14 +344,15 @@ let rec run_spec_inner ?preseed ?(keep : state option ref option) (s : spec)
     let config =
       match analysis with Imp_csc_cfg c -> c | _ -> Csc.default_config
     in
+    let handle = ref None in
     let plugin_of s =
       let pl, h = Csc.plugin_with_handle ~config s in
-      csc_handle := Some h;
+      handle := Some h;
       pl
     in
     imperative ~plugin_of Context.ci (fun r ->
         let involved, shortcuts =
-          match !csc_handle with
+          match !handle with
           | Some h -> (Some (Csc.involved_methods h), Csc.shortcut_count h)
           | None -> (None, 0)
         in
@@ -398,14 +365,6 @@ let rec run_spec_inner ?preseed ?(keep : state option ref option) (s : spec)
         of_result analysis p r (elapsed ()))
   | Imp_kcall k ->
     imperative (Context.kcall ~k ~hk:(max 1 (k - 1))) (fun r ->
-        of_result analysis p r (elapsed ()))
-  | Imp_2obj ->
-    imperative (Context.kobj ~k:2 ~hk:1) (fun r -> of_result analysis p r (elapsed ()))
-  | Imp_2type ->
-    imperative (Context.ktype ~k:2 ~hk:1) (fun r ->
-        of_result analysis p r (elapsed ()))
-  | Imp_2call ->
-    imperative (Context.kcall ~k:2 ~hk:1) (fun r ->
         of_result analysis p r (elapsed ()))
   | Imp_zipper -> (
     (* pre-analysis (CI) + selection, then selective 2obj *)
@@ -459,73 +418,6 @@ let rec run_spec_inner ?preseed ?(keep : state option ref option) (s : spec)
           (of_result ~pre_time ~selected:sel.Zipper.selected analysis p r
              (elapsed ()))
       | exception Dl.Timeout -> timeout_outcome analysis (elapsed ())))
-
-let run_spec (s : spec) (p : Ir.program) : outcome = run_spec_inner s p
-
-(* ------------------------------------------------------------ incremental *)
-
-(** Analyses the incremental engine supports: the context-insensitive lattice
-    (CI and the CSC family), optionally without collapsing. Context-sensitive
-    analyses fall back to a fresh solve ({!Inc.plan} re-checks this). *)
-let rec inc_supported = function
-  | Imp_ci | Imp_csc | Imp_csc_cfg _ -> true
-  | Imp_no_collapse a -> inc_supported a
-  | Imp_kobj _ | Imp_ktype _ | Imp_kcall _ | Imp_2obj | Imp_2type | Imp_2call
-  | Imp_zipper | Doop_ci | Doop_csc | Doop_2obj | Doop_2type | Doop_zipper ->
-    false
-
-let rec csc_config_of = function
-  | Imp_csc -> Some Csc.default_config
-  | Imp_csc_cfg c -> Some c
-  | Imp_no_collapse a -> csc_config_of a
-  | _ -> None
-
-(** Like {!run_spec}, but also return the retained engine {!state} when the
-    analysis supports incremental updates and the run completed. *)
-let run_spec_keep (s : spec) (p : Ir.program) : outcome * state option =
-  if not (inc_supported s.sp_analysis) then (run_spec s p, None)
-  else begin
-    let keep = ref None in
-    let o = run_spec_inner ~keep s p in
-    (o, if o.o_timeout then None else !keep)
-  end
-
-(** [update s ~prev p] analyzes [p] — the edited successor of [prev]'s
-    program — reusing [prev]'s solved state where the edit provably cannot
-    have changed it (see {!Csc_pta.Inc}). Falls back to a fresh solve (and
-    says why in the returned info) whenever reuse is unsupported or not
-    worthwhile; either way the outcome is bit-identical to [run_spec s p]. *)
-let update (s : spec) ~(prev : state) (p : Ir.program) :
-    outcome * state option * Inc.info =
-  let fallback reason =
-    let o, st = run_spec_keep s p in
-    (o, st, Inc.fresh_info reason)
-  in
-  if not (inc_supported s.sp_analysis) then
-    fallback ("analysis " ^ name s.sp_analysis ^ " has no incremental mode")
-  else
-    let config = csc_config_of s.sp_analysis in
-    if (config = None) <> (prev.st_csc = None) then
-      fallback "retained state is for a different analysis"
-    else
-      let classify_old, classify_new, hook =
-        match (config, prev.st_csc) with
-        | Some c, Some h ->
-          ( Some (Csc.classifier ~config:c prev.st_prog),
-            Some (Csc.classifier ~config:c p),
-            Some (Csc.inc_hook h) )
-        | _ -> (None, None, None)
-      in
-      match Inc.plan ?classify_old ?classify_new ?hook ~old:prev.st_solver p with
-      | Inc.Fallback reason -> fallback reason
-      | Inc.Preseed (pre, info) ->
-        let keep = ref None in
-        let o = run_spec_inner ~preseed:pre ~keep s p in
-        let st = if o.o_timeout then None else !keep in
-        (match st with
-        | Some st -> Inc.record st.st_solver.Solver.reg info
-        | None -> ());
-        (o, st, info)
 
 (** Optional-argument convenience over {!run_spec}; the two are equivalent
     by construction. *)

@@ -15,12 +15,9 @@ type analysis =
   | Imp_ci
   | Imp_csc
   | Imp_csc_cfg of Csc.config  (** ablations (§5.1 pattern-impact study) *)
-  | Imp_kobj of int
+  | Imp_kobj of int  (** k-object-sensitive; [Imp_kobj 2] is "2obj" *)
   | Imp_ktype of int
   | Imp_kcall of int
-  | Imp_2obj
-  | Imp_2type
-  | Imp_2call
   | Imp_zipper
   | Imp_no_collapse of analysis
       (** same analysis with the solver's online cycle collapsing disabled
@@ -112,28 +109,6 @@ val spec_key : spec -> spec
     individual knobs are documented on {!run}, which is a thin
     optional-argument wrapper over this function. *)
 val run_spec : spec -> Ir.program -> outcome
-
-(** Retained engine state of a completed run (program, solved solver, CSC
-    plugin handle) — the anchor for {!update}. *)
-type state
-
-(** Analyses the incremental engine supports: CI and the CSC family
-    (optionally under [no-collapse]). *)
-val inc_supported : analysis -> bool
-
-(** Like {!run_spec}, but also return the retained {!state} when
-    [inc_supported] holds and the run completed without timeout. *)
-val run_spec_keep : spec -> Ir.program -> outcome * state option
-
-(** [update s ~prev p] analyzes [p] — an edited successor of [prev]'s
-    program — reusing [prev]'s solved facts where the edit provably cannot
-    have invalidated them ({!Csc_pta.Inc}: method-level diff, dirtiness
-    closure over the old PFG, worklist preseeding). Falls back to a fresh
-    solve when reuse is unsupported or not worthwhile; either way the
-    outcome is bit-identical to [run_spec s p], and the returned info says
-    which path ran and how much was reused. *)
-val update :
-  spec -> prev:state -> Ir.program -> outcome * state option * Csc_pta.Inc.info
 
 (** Run one analysis under an optional wall-clock budget (seconds; a 4 GB
     heap cap applies too). Timeouts are reported in the outcome, not

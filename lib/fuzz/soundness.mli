@@ -19,8 +19,6 @@ type kind =
   | Unsound_taint  (** dynamic sink hit missing from the static leak report *)
   | Engine_mismatch    (** imperative and Datalog CI results differ *)
   | Collapse_mismatch  (** cycle collapsing changed an observable result *)
-  | Incremental_mismatch
-      (** updating a solved state over an edit differs from a fresh solve *)
   | Analysis_crash     (** an analysis raised or timed out on a tiny program *)
 
 val kind_name : kind -> string
@@ -56,24 +54,9 @@ val check :
 (** Exact equality of two results on the same program — reachable methods,
     call edges and every variable's points-to set; [None] means identical,
     [Some detail] names the first difference. This is the comparison behind
-    the engine/collapse cross-checks and {!check_incremental}. *)
+    the engine and collapse cross-checks. *)
 val identical :
   Ir.program ->
   Csc_pta.Solver.result ->
   Csc_pta.Solver.result ->
   string option
-
-(** The incremental oracle: walk a chain of program revisions (each the
-    edited successor of the previous), carry the incremental engine's
-    retained state across every step ({!Run.update}), and require each
-    updated result to be bit-identical to a from-scratch solve of the same
-    revision. Since the state entering a step was itself verified against
-    scratch, a mismatch at step [k] pins the failure to the single edit
-    [(rev k-1, rev k)]. [analyses] defaults to [Imp_ci; Imp_csc]; [jobs]
-    solves on that many domains, so the oracle also exercises preseeding
-    under the parallel engine. Empty list = no divergence. *)
-val check_incremental :
-  ?analyses:Run.analysis list ->
-  ?jobs:int ->
-  Ir.program list ->
-  violation list

@@ -14,36 +14,42 @@ type token =
 
 type loc_token = { tok : token; pos : Ast.pos }
 
-let keywords =
-  [ "class"; "extends"; "new"; "return"; "if"; "else"; "while"; "for";
-    "instanceof"; "super"; "true"; "false"; "null"; "this"; "static"; "void";
-    "int"; "boolean" ]
+let is_keyword = function
+  | "class" | "extends" | "new" | "return" | "if" | "else" | "while" | "for"
+  | "instanceof" | "super" | "true" | "false" | "null" | "this" | "static"
+  | "void" | "int" | "boolean" ->
+    true
+  | _ -> false
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = '$'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
 
-let tokenize (src : string) : loc_token array =
+(** [scan src f] calls [f tok pos offset] on every token of [src] in order,
+    [offset] being the byte index of the token's first character, and ends
+    with [EOF]. Comments and whitespace produce no call. *)
+let scan (src : string) (f : token -> Ast.pos -> int -> unit) : unit =
   let n = String.length src in
-  let toks = ref [] in
   let line = ref 1 and bol = ref 0 in
   let pos i = Ast.{ line = !line; col = i - !bol + 1 } in
-  let emit p t = toks := { tok = t; pos = p } :: !toks in
   let i = ref 0 in
   let err p fmt = Ast.syntax_error p fmt in
+  let emit start t = f t (pos start) start in
   while !i < n do
     let c = src.[!i] in
-    let p = pos !i in
+    let start = !i in
+    let next = if !i + 1 < n then src.[!i + 1] else '\000' in
     if c = '\n' then begin
       incr line;
       incr i;
       bol := !i
     end
     else if c = ' ' || c = '\t' || c = '\r' then incr i
-    else if c = '/' && !i + 1 < n && src.[!i + 1] = '/' then begin
+    else if c = '/' && next = '/' then begin
       while !i < n && src.[!i] <> '\n' do incr i done
     end
-    else if c = '/' && !i + 1 < n && src.[!i + 1] = '*' then begin
+    else if c = '/' && next = '*' then begin
+      let p = pos start in
       i := !i + 2;
       let fin = ref false in
       while not !fin do
@@ -62,17 +68,18 @@ let tokenize (src : string) : loc_token array =
     else if is_digit c then begin
       let j = ref !i in
       while !j < n && is_digit src.[!j] do incr j done;
-      emit p (INT (int_of_string (String.sub src !i (!j - !i))));
+      emit start (INT (int_of_string (String.sub src !i (!j - !i))));
       i := !j
     end
     else if is_ident_start c then begin
       let j = ref !i in
       while !j < n && is_ident_char src.[!j] do incr j done;
       let s = String.sub src !i (!j - !i) in
-      emit p (if List.mem s keywords then KW s else IDENT s);
+      emit start (if is_keyword s then KW s else IDENT s);
       i := !j
     end
     else if c = '"' then begin
+      let p = pos start in
       let buf = Buffer.create 16 in
       let j = ref (!i + 1) in
       while !j < n && src.[!j] <> '"' do
@@ -90,25 +97,24 @@ let tokenize (src : string) : loc_token array =
         end
       done;
       if !j >= n then err p "unterminated string literal";
-      emit p (STRING (Buffer.contents buf));
+      emit start (STRING (Buffer.contents buf));
       i := !j + 1
     end
-    else begin
-      let two =
-        if !i + 1 < n then String.sub src !i 2 else ""
-      in
-      match two with
-      | "==" | "!=" | "<=" | ">=" | "&&" | "||" ->
-        emit p (PUNCT two);
+    else
+      match (c, next) with
+      | ('=' | '!' | '<' | '>'), '=' | '&', '&' | '|', '|' ->
+        emit start (PUNCT (String.sub src !i 2));
         i := !i + 2
-      | _ ->
-        (match c with
-        | '{' | '}' | '(' | ')' | '[' | ']' | ';' | ',' | '.' | '=' | '<'
-        | '>' | '+' | '-' | '*' | '/' | '%' | '!' ->
-          emit p (PUNCT (String.make 1 c));
-          incr i
-        | _ -> err p "unexpected character %C" c)
-    end
+      | ( ( '{' | '}' | '(' | ')' | '[' | ']' | ';' | ',' | '.' | '=' | '<'
+          | '>' | '+' | '-' | '*' | '/' | '%' | '!' ),
+          _ ) ->
+        emit start (PUNCT (String.make 1 c));
+        incr i
+      | _ -> err (pos start) "unexpected character %C" c
   done;
-  emit (pos !i) EOF;
+  f EOF (pos n) n
+
+let tokenize (src : string) : loc_token array =
+  let toks = ref [] in
+  scan src (fun tok pos _ -> toks := { tok; pos } :: !toks);
   Array.of_list (List.rev !toks)

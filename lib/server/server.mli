@@ -30,8 +30,7 @@
       (profile).
     - [id]: any JSON value, echoed verbatim in the reply.
 
-    [update] analyzes an edited revision of an already-loaded program,
-    incrementally when the server's retained state anchors on it
+    [update] analyzes an edited revision of an already-loaded program
     ({!Csc_driver.Session.update}): [digest] (required) names the base
     program (every [analyze] reply carries the program's [digest] beside
     [result]), and either [edits] — an array of
@@ -40,9 +39,9 @@
     [{"op": "remove", "class": C, "method": M}] objects applied in order to
     the base source — or [source], the full edited text. The result carries
     the new revision's [digest] (the base for subsequent updates), an [inc]
-    block ([mode] "incremental"/"fresh", [reason], dirty/preload/reuse
-    statistics) and the ordinary analyze [outcome]; the outcome is
-    bit-identical to a from-scratch [analyze] of the edited source.
+    block (kept for schema 1: [mode] is always "fresh" and its counters
+    are 0) and the ordinary analyze [outcome], which is a fresh [analyze]
+    of the edited source.
 
     Replies are versioned envelopes: [{"schema": 1, "id": ..., "ok": true,
     "cmd": ..., "cached": ..., "result": {...}}] on success — [cached] is

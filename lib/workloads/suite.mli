@@ -17,10 +17,5 @@ val shape_of : string -> Gen.shape
 (** Deterministic MiniJava source of a suite program (without the JDK). *)
 val source : string -> string
 
-(** [source_variant name v] is [source name] with fixed variant-[v] keyed
-    statements appended to the body of [Driver0.op0_0] — a reproducible
-    single-method edit (identical to [source name] when [v = 0]). *)
-val source_variant : string -> int -> string
-
 (** Compile a suite program (with the mini-JDK). *)
 val compile : string -> Csc_ir.Ir.program

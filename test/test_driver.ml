@@ -84,7 +84,7 @@ let test_metrics_ordering () =
           true
           (Metrics.better_or_equal m ci)
       | None -> ())
-    [ Run.Imp_csc; Run.Imp_2obj; Run.Imp_2type; Run.Imp_zipper; Run.Doop_csc ]
+    [ Run.Imp_csc; Run.Imp_kobj 2; Run.Imp_ktype 2; Run.Imp_zipper; Run.Doop_csc ]
 
 let test_recall_api () =
   let p = compile Fixtures.arith in

@@ -73,7 +73,7 @@ let test_fixtures_csc () =
 
 let test_fixtures_2obj () =
   List.iter
-    (fun (name, src) -> differential Run.Imp_2obj src ("2obj/" ^ name))
+    (fun (name, src) -> differential (Run.Imp_kobj 2) src ("2obj/" ^ name))
     Fixtures.all
 
 let test_generated_workload () =

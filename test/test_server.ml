@@ -67,8 +67,11 @@ let test_grammar_forms () =
   in
   ok "kobj:3" (Run.Imp_kobj 3);
   ok "3obj" (Run.Imp_kobj 3);
-  ok "kobj:2" Run.Imp_2obj;
-  ok "ktype:2" Run.Imp_2type;
+  ok "kobj:2" (Run.Imp_kobj 2);
+  ok "ktype:2" (Run.Imp_ktype 2);
+  ok "2obj" (Run.Imp_kobj 2);
+  ok "2type" (Run.Imp_ktype 2);
+  ok "2call" (Run.Imp_kcall 2);
   ok "kcall:1" (Run.Imp_kcall 1);
   ok "doop:csc" Run.Doop_csc;
   ok "doop-csc" Run.Doop_csc;
@@ -151,7 +154,7 @@ let test_session_eviction () =
   in
   let _ = Session.outcome s ~digest (Run.spec Run.Imp_csc) p in
   let _ = Session.outcome s ~digest (Run.spec Run.Imp_ci) p in
-  let _ = Session.outcome s ~digest (Run.spec Run.Imp_2obj) p in
+  let _ = Session.outcome s ~digest (Run.spec (Run.Imp_kobj 2)) p in
   Alcotest.(check bool) "evictions happened" true (Session.evictions s >= 1);
   Alcotest.(check bool) "at least one entry kept" true (Session.entries s >= 1);
   Alcotest.(check bool) "bounded" true (Session.entries s <= 2)
@@ -250,8 +253,8 @@ let test_protocol_errors () =
   (* none of the failures may count as served work gone wrong *)
   Alcotest.(check bool) "server still up" false (Server.stopped t)
 
-(* the update command: edits applied server-side, incremental path taken,
-   result digest-cached under the new revision *)
+(* the update command: edits applied server-side, the edited revision
+   solved afresh and digest-cached under its new digest *)
 let test_protocol_update () =
   let t = Server.create () in
   let h line = Server.handle_line t line in
@@ -268,7 +271,7 @@ let test_protocol_update () =
   in
   let j = ok_reply (h (upd digest body)) in
   let res = member "result" j in
-  Alcotest.(check string) "incremental path" "incremental"
+  Alcotest.(check string) "fresh mode" "fresh"
     (get_str (member "mode" (member "inc" res)));
   let d2 = get_str (member "digest" res) in
   Alcotest.(check bool) "digest moved" true (d2 <> digest);
@@ -288,11 +291,28 @@ let test_protocol_update () =
   Alcotest.(check string) "same outcome"
     (Json.to_string (member "result" j'))
     (Json.to_string (member "outcome" res));
-  (* the anchor follows the chain: a second (different) edit is
-     incremental again *)
-  let j = ok_reply (h (upd d2 "Item r = this.item; return r;")) in
-  Alcotest.(check string) "chained update incremental" "incremental"
-    (get_str (member "mode" (member "inc" (member "result" j))));
+  (* a chained update on the reply's digest answers what a fresh solve of
+     that revision does; the tag makes the analyze a new revision, so the
+     server really solves it *)
+  let body2 = "Item r = this.item; return r;" in
+  let res = member "result" (ok_reply (h (upd d2 body2))) in
+  Alcotest.(check string) "chained update fresh" "fresh"
+    (get_str (member "mode" (member "inc" res)));
+  let edited2 =
+    match
+      Csc_pta.Inc.apply_edits edited
+        [ Csc_pta.Inc.Replace_method
+            { cls = "Carton"; meth = "getItem"; body = body2 } ]
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let tagged = ok_reply (h (req ~source:(edited2 ^ "\n// fresh\n") "analyze" "")) in
+  Alcotest.(check bool) "tagged analyze solved" false
+    (get_bool (member "cached" tagged));
+  Alcotest.(check string) "chained update = fresh analyze"
+    (Json.to_string (member "metrics" (member "result" tagged)))
+    (Json.to_string (member "metrics" (member "outcome" res)));
   (* malformed updates *)
   let _ = error_reply ~code:"bad-request" (h "{\"cmd\": \"update\"}") in
   let _ =
