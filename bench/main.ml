@@ -33,10 +33,11 @@
 
     [--compare BASELINE.json] is the regression gate: after running, every
     cell is matched against the baseline document by (experiment, program,
-    analysis); any precision-metric change, or a >25% time regression, makes
-    the run exit non-zero. [--soft-time] downgrades the time check to a
-    warning (CI uses it: shared runners make wall-clock noisy, but precision
-    must never drift). *)
+    analysis); any precision-metric change, a [pfg_edges] count above the
+    baseline's, or a >25% time regression makes the run exit non-zero.
+    [--soft-time] downgrades the time check to a warning (CI uses it: shared
+    runners make wall-clock noisy, but precision and work counts must never
+    drift). *)
 
 module Ir = Csc_ir.Ir
 module Run = Csc_driver.Run
@@ -867,11 +868,13 @@ let experiment_json cfg exp : Json.t option =
 (* [--compare BASELINE.json]: match this run's cells against a committed
    baseline by (experiment, program, analysis). Precision metrics must be
    identical — any drift is a hard failure, since every solver optimization
-   in this repo is required to be semantics-preserving. Time may regress up
-   to 25% (plus a 50ms jitter floor); beyond that it is a failure too unless
-   [soft_time] downgrades it to a warning. Cells absent on either side, or
-   timed out on either side, are skipped with a note. Returns the number of
-   hard failures. *)
+   in this repo is required to be semantics-preserving. A snapshot's
+   [pfg_edges] above the baseline's is a hard failure too: it is a
+   deterministic work counter, so an algorithmic regression shows without
+   timing noise. Time may regress up to 25% (plus a 50ms jitter floor);
+   beyond that it is a failure too unless [soft_time] downgrades it to a
+   warning. Cells absent on either side, or timed out on either side, are
+   skipped with a note. Returns the number of hard failures. *)
 let compare_reports ~soft_time ~baseline (reports : (string * Json.t) list) :
     int =
   let failures = ref 0 in
@@ -884,6 +887,13 @@ let compare_reports ~soft_time ~baseline (reports : (string * Json.t) list) :
   let cells j =
     Option.value ~default:[]
       (Option.bind (Json.member "cells" j) Json.get_list)
+  in
+  (* the PFG edge count is deterministic at --jobs 1, so it gates exactly;
+     one-sided, so fewer edges pass *)
+  let pfg_edges c =
+    match Option.map Snapshot.of_json (Json.member "snapshot" c) with
+    | Some (Ok s) -> Snapshot.counter_value s "pfg_edges"
+    | _ -> None
   in
   let cell_key c =
     match
@@ -929,6 +939,13 @@ let compare_reports ~soft_time ~baseline (reports : (string * Json.t) list) :
                       "compare: FAIL %s/%s/%s precision metrics changed@.  \
                        baseline %s@.  current  %s@."
                       ename p a (Json.to_string mb) (Json.to_string mc)
+                  | _ -> ());
+                  (match (pfg_edges cur, pfg_edges bc) with
+                  | Some ec, Some eb when ec > eb ->
+                    incr failures;
+                    Fmt.epr
+                      "compare: FAIL %s/%s/%s pfg_edges %d vs baseline %d@."
+                      ename p a ec eb
                   | _ -> ());
                   match
                     ( Option.bind (Json.member "time_s" cur) Json.get_float,

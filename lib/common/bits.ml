@@ -64,6 +64,11 @@ let clear t =
 
 let copy t = { words = Array.copy t.words; card = t.card }
 
+let compact t =
+  let n = ref (Array.length t.words) in
+  while !n > 1 && t.words.(!n - 1) = 0 do decr n done;
+  { words = Array.sub t.words 0 !n; card = t.card }
+
 let iter f t =
   let words = t.words in
   for w = 0 to Array.length words - 1 do

@@ -23,6 +23,11 @@ val is_empty : t -> bool
 val clear : t -> unit
 val copy : t -> t
 
+(** A copy sized to its highest element: a set that grew through unions
+    with wider sets does not pass that slack on. For sets that are kept,
+    not grown further. *)
+val compact : t -> t
+
 (** Iterates elements in increasing order. *)
 val iter : (int -> unit) -> t -> unit
 

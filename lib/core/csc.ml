@@ -141,7 +141,10 @@ let method_of_ptr t (ptr : int) : Ir.method_id option =
   | Solver.PVar (_, v) -> Some (Ir.var t.prog v).v_method
   | PField (o, _) | PArr o ->
     Some (Ir.alloc t.prog (Solver.obj_alloc t.solver o)).a_method
-  | PStatic _ -> None
+  (* a container relay stands for the Source -> Target pairs routed through
+     it, whose endpoints are marked themselves; the host's allocating
+     method is not involved *)
+  | PStatic _ | PContent _ -> None
 
 let mark_involved t ptr =
   match method_of_ptr t ptr with
@@ -309,22 +312,45 @@ let pt_h_of t ptr =
     Hashtbl.add t.pt_h ptr b;
     b
 
+(* [ShortcutContainer] through one relay pointer per (host, category):
+   Sources flow into the relay and the relay flows to the Targets, so a host
+   with S Sources and T Targets costs S + T edges instead of S x T. Edges
+   appear only once the pair has both a Source and a Target, so exactly the
+   pointers that used to get a direct edge get one now. *)
+let content_ptr t host (cat : Spec.category) =
+  Solver.ptr_content t.solver ~obj:host
+    ~cat:(match cat with Coll_val -> 0 | Map_key -> 1 | Map_val -> 2)
+
 let rec add_source t host cat (src_ptr : int) =
   let srcs = get_list t.sources (host, cat) in
   if not (List.mem src_ptr !srcs) then begin
     srcs := src_ptr :: !srcs;
-    List.iter
-      (fun tgt -> shortcut t t.c_sc_container ~src:src_ptr ~dst:tgt)
-      !(get_list t.targets (host, cat))
+    match !(get_list t.targets (host, cat)) with
+    | [] -> ()
+    | tgts ->
+      let relay = content_ptr t host cat in
+      (* the pair's first Source also opens the relay to its Targets *)
+      if List.tl !srcs = [] then
+        List.iter
+          (fun tgt -> shortcut t t.c_sc_container ~src:relay ~dst:tgt)
+          tgts;
+      shortcut t t.c_sc_container ~src:src_ptr ~dst:relay
   end
 
 and add_target t host cat (tgt_ptr : int) =
   let tgts = get_list t.targets (host, cat) in
   if not (List.mem tgt_ptr !tgts) then begin
     tgts := tgt_ptr :: !tgts;
-    List.iter
-      (fun src -> shortcut t t.c_sc_container ~src ~dst:tgt_ptr)
-      !(get_list t.sources (host, cat))
+    match !(get_list t.sources (host, cat)) with
+    | [] -> ()
+    | srcs ->
+      let relay = content_ptr t host cat in
+      (* the pair's first Target also connects its Sources to the relay *)
+      if List.tl !tgts = [] then
+        List.iter
+          (fun src -> shortcut t t.c_sc_container ~src ~dst:relay)
+          srcs;
+      shortcut t t.c_sc_container ~src:relay ~dst:tgt_ptr
   end
 
 (* host propagation: ColHost/MapHost seeds arrive via [on_new_pts];

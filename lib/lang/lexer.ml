@@ -115,6 +115,17 @@ let scan (src : string) (f : token -> Ast.pos -> int -> unit) : unit =
   f EOF (pos n) n
 
 let tokenize (src : string) : loc_token array =
-  let toks = ref [] in
-  scan src (fun tok pos _ -> toks := { tok; pos } :: !toks);
-  Array.of_list (List.rev !toks)
+  (* a growable array filled in place; sources average about one token per
+     three bytes, so the first guess rarely needs doubling *)
+  let blank = { tok = EOF; pos = Ast.{ line = 0; col = 0 } } in
+  let toks = ref (Array.make ((String.length src / 3) + 16) blank) in
+  let n = ref 0 in
+  scan src (fun tok pos _ ->
+      if !n = Array.length !toks then begin
+        let bigger = Array.make (2 * !n) blank in
+        Array.blit !toks 0 bigger 0 !n;
+        toks := bigger
+      end;
+      !toks.(!n) <- { tok; pos };
+      incr n);
+  Array.sub !toks 0 !n

@@ -113,7 +113,7 @@ let shard_ro (t : S.t) ~jobs p : int =
   let key =
     match Interner.get t.S.ptrs (Uf.find_ro t.S.uf p) with
     | S.PVar (_, v) -> (Ir.var t.S.prog v).Ir.v_method
-    | S.PField (o, _) | S.PArr o ->
+    | S.PField (o, _) | S.PArr o | S.PContent (o, _) ->
       (Ir.alloc t.S.prog (S.obj_alloc t o)).Ir.a_method
     | S.PStatic fld -> lnot fld
   in

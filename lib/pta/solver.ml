@@ -50,6 +50,13 @@ type ptr_desc =
   | PField of int * Ir.field_id    (** abstract object id, instance field *)
   | PArr of int                    (** abstract object id: its array cells *)
   | PStatic of Ir.field_id
+  | PContent of int * int
+      (** host object id, content category: a plugin-owned relay for what
+          a container holds (see {!content_category_names}) *)
+
+(** Printed names of the {!PContent} categories, by index: a collection's
+    values, a map's keys, a map's values. *)
+let content_category_names = [| "coll"; "key"; "val" |]
 
 type edge_kind =
   | KNormal
@@ -174,6 +181,16 @@ let create ?(budget = Timer.no_budget) ?(sel = Context.ci) ?(collapse = true)
     (prog : Ir.program) : t =
   let reg = Registry.create () in
   let empty_pending = Bits.create ~capacity:1 () in
+  let ctxs = Interner.create [] and objs = Interner.create (-1, -1) in
+  (* context insensitivity allocates exactly (empty context, site) for every
+     site: interning them up front, in site order, makes object id =
+     allocation id, which [result] exploits to project whole words *)
+  if sel == Context.ci then begin
+    let empty = Interner.intern ctxs [] in
+    Array.iteri
+      (fun site _ -> ignore (Interner.intern objs (empty, site)))
+      prog.allocs
+  end;
   {
     prog;
     sel;
@@ -181,8 +198,8 @@ let create ?(budget = Timer.no_budget) ?(sel = Context.ci) ?(collapse = true)
     budget;
     collapse;
     n_methods = Array.length prog.methods;
-    ctxs = Interner.create [];
-    objs = Interner.create (-1, -1);
+    ctxs;
+    objs;
     ptrs = Interner.create (PStatic (-1));
     uf = Uf.create ();
     pinned = Bits.create ();
@@ -282,6 +299,7 @@ let ptr_var t ~ctx v = intern_ptr t (PVar (ctx, v))
 let ptr_field t ~obj ~fld = intern_ptr t (PField (obj, fld))
 let ptr_arr t ~obj = intern_ptr t (PArr obj)
 let ptr_static t ~fld = intern_ptr t (PStatic fld)
+let ptr_content t ~obj ~cat = intern_ptr t (PContent (obj, cat))
 
 (** Representative of [p]'s collapsed class ([p] itself when uncollapsed).
     Every pointer-keyed query below redirects through this, so callers may
@@ -307,7 +325,8 @@ let obj_hctx t o = fst (Interner.get t.objs o)
 let meth_of_ptr t p : int =
   match Interner.get t.ptrs p with
   | PVar (_, v) -> (Ir.var t.prog v).v_method
-  | PField (o, _) | PArr o -> (Ir.alloc t.prog (obj_alloc t o)).a_method
+  | PField (o, _) | PArr o | PContent (o, _) ->
+    (Ir.alloc t.prog (obj_alloc t o)).a_method
   | PStatic _ -> -1
 
 (* finalizing avalanche mixer (murmur3 fmix32) so consecutive method ids
@@ -321,19 +340,20 @@ let mix_int x =
   x lxor (x lsr 16)
 
 (** Shard owner of pointer [p] under a [jobs]-way partition of the PFG:
-    variables follow their declaring method, heap nodes (field/array
-    pointers) the allocating method, statics their field id. Method-cohesive
-    by construction, so the intra-method copy chains that carry most
-    propagation stay shard-local. Computed on the canonical representative,
-    hence the assignment is a total function that respects union-find
-    collapsing: [shard_of t ~jobs p = shard_of t ~jobs (canon t p)]. *)
+    variables follow their declaring method, heap nodes (field, array and
+    content pointers) the allocating method, statics their field id.
+    Method-cohesive by construction, so the intra-method copy chains that
+    carry most propagation stay shard-local. Computed on the canonical
+    representative, hence the assignment is a total function that respects
+    union-find collapsing:
+    [shard_of t ~jobs p = shard_of t ~jobs (canon t p)]. *)
 let shard_of t ~jobs p : int =
   if jobs <= 1 then 0
   else
     let key =
       match Interner.get t.ptrs (canon t p) with
       | PVar (_, v) -> (Ir.var t.prog v).v_method
-      | PField (o, _) | PArr o ->
+      | PField (o, _) | PArr o | PContent (o, _) ->
         (Ir.alloc t.prog (obj_alloc t o)).a_method
       | PStatic fld -> lnot fld
     in
@@ -1003,23 +1023,43 @@ let snapshot (t : t) : Snapshot.t =
     let s = Snapshot.with_counter s "prov_records" (Prov.size pr) in
     Snapshot.with_counter s "prov_dropped" (Prov.dropped pr)
 
+(* every object is its own allocation site with the empty heap context, so
+   a points-to set already is its projection (see [create]) *)
+let objs_are_sites t =
+  match Interner.find_opt t.ctxs [] with
+  | None -> Interner.count t.objs = 0
+  | Some empty ->
+    let ok = ref true in
+    Interner.iteri
+      (fun o (hctx, site) -> if hctx <> empty || site <> o then ok := false)
+      t.objs;
+    !ok
+
 let result (t : t) : result =
   (* project pointer facts onto variables, merging contexts and abstracting
-     objects to their allocation sites *)
+     objects to their allocation sites: word by word when object ids are
+     site ids, bit by bit otherwise. The sets are fresh copies, so the
+     result holds nothing of the solver. *)
   let var_pt : (Ir.var_id, Bits.t) Hashtbl.t = Hashtbl.create 1024 in
+  let by_word = objs_are_sites t in
   Interner.iteri
     (fun p desc ->
       match desc with
-      | PVar (_, v) ->
-        let tgt =
-          match Hashtbl.find_opt var_pt v with
-          | Some b -> b
-          | None ->
-            let b = Bits.create () in
-            Hashtbl.add var_pt v b;
-            b
-        in
-        Bits.iter (fun o -> ignore (Bits.add tgt (obj_alloc t o))) (pts t p)
+      | PVar (_, v) -> (
+        let src = pts t p in
+        match Hashtbl.find_opt var_pt v with
+        | None when by_word -> Hashtbl.add var_pt v (Bits.compact src)
+        | found ->
+          let tgt =
+            match found with
+            | Some b -> b
+            | None ->
+              let b = Bits.create () in
+              Hashtbl.add var_pt v b;
+              b
+          in
+          if by_word then Bits.union_quiet ~into:tgt src
+          else Bits.iter (fun o -> ignore (Bits.add tgt (obj_alloc t o))) src)
       | _ -> ())
     t.ptrs;
   let empty = Bits.create () in
@@ -1052,6 +1092,8 @@ let ptr_to_string t p =
   | PField (o, fld) ->
     Printf.sprintf "obj#%d.%s" o (Ir.field t.prog fld).f_name
   | PArr o -> Printf.sprintf "obj#%d[*]" o
+  | PContent (o, cat) ->
+    Printf.sprintf "obj#%d.<%s>" o content_category_names.(cat)
   | PStatic fld ->
     let f = Ir.field t.prog fld in
     Printf.sprintf "%s.%s" (Ir.class_name t.prog f.f_class) f.f_name

@@ -149,6 +149,54 @@ class Main {
 }
 |}
 
+(* One list with several adds and gets and one map with several puts and
+   gets: hosts with many Sources and Targets per category, which the
+   container pattern routes through one relay pointer each. *)
+let bags =
+  {|
+class A { }
+class B { }
+class K { }
+
+class Main {
+  static void main() {
+    ArrayList l = new ArrayList();
+    A a1 = new A();
+    A a2 = new A();
+    A a3 = new A();
+    l.add(a1);
+    l.add(a2);
+    l.add(a3);
+    Object g1 = l.get(0);
+    Object g2 = l.get(1);
+
+    HashMap m = new HashMap();
+    K k1 = new K();
+    K k2 = new K();
+    B b1 = new B();
+    B b2 = new B();
+    m.put(k1, b1);
+    m.put(k2, b2);
+    Object v1 = m.get(k1);
+    Object v2 = m.get(k2);
+    Iterator ks = m.keySet().iterator();
+    Object kk = ks.next();
+
+    ArrayList other = new ArrayList();
+    B b3 = new B();
+    other.add(b3);
+    Object o1 = other.get(0);
+    A cast = (A) g1;
+    System.print(g2);
+    System.print(v1);
+    System.print(v2);
+    System.print(kk);
+    System.print(o1);
+    System.print(cast);
+  }
+}
+|}
+
 (* Polymorphism: virtual dispatch, casts (one safe, one that may fail). *)
 let poly =
   {|
@@ -222,4 +270,5 @@ class Main {
 
 let all =
   [ ("carton", carton); ("nested", nested); ("containers", containers);
-    ("localflow", localflow); ("maps", maps); ("poly", poly); ("arith", arith) ]
+    ("localflow", localflow); ("maps", maps); ("bags", bags); ("poly", poly);
+    ("arith", arith) ]

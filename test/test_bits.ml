@@ -31,6 +31,15 @@ let test_union_into () =
   | None -> ()
   | Some _ -> Alcotest.fail "expected no delta"
 
+let test_compact () =
+  let a = Bits.of_list [ 3; 70; 100_000 ] in
+  Bits.remove a 100_000;
+  let c = Bits.compact a in
+  Alcotest.(check (list int)) "same elements" [ 3; 70 ] (Bits.to_list c);
+  Alcotest.(check bool) "equal" true (Bits.equal a c);
+  ignore (Bits.add c 5);
+  Alcotest.(check bool) "independent" false (Bits.mem a 5)
+
 let test_inter_nonempty () =
   let a = Bits.of_list [ 1; 64; 128 ] in
   let b = Bits.of_list [ 2; 65; 128 ] in
@@ -148,6 +157,7 @@ let suite =
         Alcotest.test_case "add/mem/cardinal" `Quick test_add_mem;
         Alcotest.test_case "growth" `Quick test_growth;
         Alcotest.test_case "union_into" `Quick test_union_into;
+        Alcotest.test_case "compact" `Quick test_compact;
         Alcotest.test_case "inter_nonempty" `Quick test_inter_nonempty;
         Alcotest.test_case "remove" `Quick test_remove;
         Alcotest.test_case "iter_diff" `Quick test_iter_diff;

@@ -261,6 +261,69 @@ class Main {
     (pt_size r (var p "Main.main" "end1"));
   check_precise "builder-chain" src
 
+(* One ArrayList with [s] adds and [t] gets: the container pattern routes
+   the pairs through one relay pointer, so it installs s + t shortcut
+   edges, not s x t, and every get still sees exactly the added objects. *)
+let test_relay_is_additive () =
+  List.iter
+    (fun (s, t) ->
+      let src =
+        Printf.sprintf
+          {|
+class A { }
+class Main {
+  static void main() {
+    ArrayList l = new ArrayList();
+%s%s  }
+}
+|}
+          (String.concat ""
+             (List.init s (fun i ->
+                  Printf.sprintf "    A a%d = new A();\n    l.add(a%d);\n" i i)))
+          (String.concat ""
+             (List.init t (fun j ->
+                  Printf.sprintf "    Object g%d = l.get(%d);\n    System.print(g%d);\n"
+                    j j j)))
+      in
+      let p = compile src in
+      let solver = Solver.create p in
+      Solver.set_plugin solver (Csc.plugin solver);
+      Solver.run solver;
+      let r = Solver.result solver in
+      let tag = Printf.sprintf "%d adds, %d gets" s t in
+      Alcotest.(check (option int))
+        (tag ^ ": container shortcuts")
+        (Some (s + t))
+        (Csc_obs.Snapshot.counter_value
+           ~labels:[ ("pattern", "container") ]
+           (Solver.snapshot solver) "csc_shortcuts");
+      let added = Bits.create () in
+      for i = 0 to s - 1 do
+        Bits.union_quiet ~into:added (r.r_pt (var p "Main.main" (Printf.sprintf "a%d" i)))
+      done;
+      Alcotest.(check int) (tag ^ ": one object per add") s (Bits.cardinal added);
+      for j = 0 to t - 1 do
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s: g%d sees every add" tag j)
+          (Bits.to_list added)
+          (Bits.to_list (r.r_pt (var p "Main.main" (Printf.sprintf "g%d" j))))
+      done)
+    [ (1, 1); (3, 2); (4, 3) ]
+
+(* The relay pointer belongs to no method, so the involved set is what
+   direct Source x Target edges give (the expected list). *)
+let test_relay_keeps_involved () =
+  let p = compile Fixtures.bags in
+  let solver = Solver.create p in
+  let pl, h = Csc.plugin_with_handle solver in
+  Solver.set_plugin solver pl;
+  Solver.run solver;
+  Alcotest.(check (list string))
+    "involved methods"
+    [ "ArrayList.get"; "HashMap.get"; "HashMap.keySet"; "KeySetView.<init>";
+      "KeyIterator.next"; "Main.main" ]
+    (List.map (Ir.method_name p) (Bits.to_list (Csc.involved_methods h)))
+
 let suite =
   [
     ( "csc.containers",
@@ -282,5 +345,9 @@ let suite =
         Alcotest.test_case "shared map key" `Quick test_map_key_collision_sound;
         Alcotest.test_case "stringbuilder fluency" `Quick
           test_stringbuilder_chain_fluency;
+        Alcotest.test_case "relay: s + t shortcuts, same pts" `Quick
+          test_relay_is_additive;
+        Alcotest.test_case "relay: involved methods unchanged" `Quick
+          test_relay_keeps_involved;
       ] );
   ]

@@ -55,6 +55,22 @@ let test_lexer_error () =
     (Csc_lang.Ast.Syntax_error ({ line = 1; col = 1 }, "unexpected character '#'"))
     (fun () -> ignore (Csc_lang.Lexer.tokenize "#"))
 
+(* [tokenize] is [scan] collected into an array: same tokens, positions and
+   order, on every suite program and the mini-JDK *)
+let test_tokenize_matches_scan () =
+  let module L = Csc_lang.Lexer in
+  List.iter
+    (fun (name, src) ->
+      let scanned = ref [] in
+      L.scan src (fun tok pos _ -> scanned := { L.tok; pos } :: !scanned);
+      let expected = Array.of_list (List.rev !scanned) in
+      if L.tokenize src <> expected then
+        Alcotest.fail (name ^ ": tokenize differs from scan"))
+    (("jdk", Csc_lang.Jdk.source)
+    :: List.map
+         (fun n -> (n, Csc_workloads.Suite.source n))
+         Csc_workloads.Suite.names)
+
 let test_parse_carton () =
   let p = compile Fixtures.carton in
   let setter = find_method p "Carton.setItem" in
@@ -213,6 +229,8 @@ let suite =
         Alcotest.test_case "two-char operators" `Quick test_lexer_two_char_ops;
         Alcotest.test_case "string escapes" `Quick test_lexer_string_escape;
         Alcotest.test_case "lex error" `Quick test_lexer_error;
+        Alcotest.test_case "tokenize = scan on suite and JDK" `Quick
+          test_tokenize_matches_scan;
       ] );
     ( "lang.frontend",
       [

@@ -221,6 +221,53 @@ let test_cs_refines_ci () =
         cs.r_edges)
     Fixtures.all
 
+(* --- result projection ------------------------------------------------ *)
+
+(* [Solver.result] projects word by word when object ids are allocation ids
+   (ci and every CSC config) and bit by bit otherwise (2obj): both must give
+   what the per-object projection gives *)
+let test_projection_matches_per_bit () =
+  let check tag (p : Ir.program) ?sel ?plugin_of () =
+    let t = Solver.analyze ?sel ?plugin_of p in
+    let r = Solver.result t in
+    let reference = Hashtbl.create 64 in
+    Solver.iter_ptrs t (fun ptr desc ->
+        match desc with
+        | Solver.PVar (_, v) ->
+          let b =
+            match Hashtbl.find_opt reference v with
+            | Some b -> b
+            | None ->
+              let b = Bits.create () in
+              Hashtbl.add reference v b;
+              b
+          in
+          Bits.iter (fun o -> ignore (Bits.add b (Solver.obj_alloc t o))) (Solver.pts t ptr)
+        | _ -> ());
+    Array.iter
+      (fun (v : Ir.var) ->
+        let expected =
+          Option.value ~default:(Bits.create ()) (Hashtbl.find_opt reference v.v_id)
+        in
+        if not (Bits.equal expected (r.r_pt v.v_id)) then
+          Alcotest.fail (Printf.sprintf "%s: projection of %s differs" tag v.v_name))
+      p.vars;
+    (* ci and CSC number objects by allocation site *)
+    if Option.is_none sel then
+      for o = 0 to Csc_common.Interner.count t.Solver.objs - 1 do
+        if Solver.obj_alloc t o <> o then
+          Alcotest.fail (Printf.sprintf "%s: object %d is not its site" tag o)
+      done
+  in
+  List.iter
+    (fun (name, src) ->
+      let p = compile src in
+      check ("ci/" ^ name) p ();
+      check ("csc/" ^ name) p ~plugin_of:(fun t -> Csc_core.Csc.plugin t) ();
+      check ("2obj/" ^ name) p ~sel:sel_2obj ())
+    (("generated", Csc_workloads.Gen.generate Csc_workloads.Gen.small_shape)
+    :: Fixtures.all)
+
 (* --- timeout ----------------------------------------------------------- *)
 
 let test_budget_timeout () =
@@ -342,6 +389,8 @@ let suite =
         Alcotest.test_case "recall: 2obj" `Quick test_recall_all_fixtures_2obj;
         Alcotest.test_case "recall: 2call" `Quick test_recall_all_fixtures_2call;
         Alcotest.test_case "2obj refines CI" `Quick test_cs_refines_ci;
+        Alcotest.test_case "projection = per-bit reference" `Quick
+          test_projection_matches_per_bit;
       ] );
     ( "pta.hotpath",
       [
